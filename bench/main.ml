@@ -648,8 +648,8 @@ let storage () =
         "(%d records, %d queries, snapshot %d bytes, compressed %d bytes, \
          %.2fx smaller)\n"
         n (Array.length queries) file_bytes compressed_bytes ratio;
-      Printf.printf "%16s %12s %12s %14s %12s %12s\n" "backend" "batch (ms)"
-        "probes" "probes/s" "page reads" "pool hits";
+      Printf.printf "%16s %12s %12s %14s %12s %12s  %s\n" "backend" "batch (ms)"
+        "probes" "probes/s" "page reads" "pool hits" "probe split";
       let reference = ref None in
       let rows =
         List.map
@@ -682,14 +682,17 @@ let storage () =
                 (Xstorage.Store.page_reads s, Xstorage.Store.page_hits s)
               | None -> (0, 0)
             in
-            Printf.printf "%16s %12.1f %12d %14.0f %12d %12d\n%!" name (ms t)
-              probes pps reads hits;
-            (name, t, probes, pps, reads, hits, ok))
+            let split = Xquery.Matcher.probe_split stats in
+            Printf.printf "%16s %12.1f %12d %14.0f %12d %12d  %s\n%!" name (ms t)
+              probes pps reads hits
+              (String.concat " "
+                 (List.map (fun (part, n) -> Printf.sprintf "%s=%d" part n) split));
+            (name, t, probes, split, pps, reads, hits, ok))
           variants
       in
       let time_of want =
-        match List.find_opt (fun (nm, _, _, _, _, _, _) -> nm = want) rows with
-        | Some (_, t, _, _, _, _, _) -> t
+        match List.find_opt (fun (nm, _, _, _, _, _, _, _) -> nm = want) rows with
+        | Some (_, t, _, _, _, _, _, _) -> t
         | None -> 0.
       in
       (* Intra-run latency ratio: both halves measured under the same
@@ -707,12 +710,17 @@ let storage () =
             \  \"runs\": [\n"
             cores n (Array.length queries) file_bytes compressed_bytes;
           List.iteri
-            (fun i (name, t, probes, pps, reads, hits, ok) ->
+            (fun i (name, t, probes, split, pps, reads, hits, ok) ->
               Printf.fprintf oc
                 "    {\"backend\": %S, \"batch_ms\": %.2f, \"probes\": %d, \
-                 \"probes_per_s\": %.0f, \"page_reads\": %d, \"pool_hits\": \
-                 %d, \"answers_ok\": %b}%s\n"
-                name (ms t) probes pps reads hits ok
+                 %s, \"probes_per_s\": %.0f, \"page_reads\": %d, \
+                 \"pool_hits\": %d, \"answers_ok\": %b}%s\n"
+                name (ms t) probes
+                (String.concat ", "
+                   (List.map
+                      (fun (part, n) -> Printf.sprintf "\"%s_probes\": %d" part n)
+                      split))
+                pps reads hits ok
                 (if i = List.length rows - 1 then "" else ","))
             rows;
           Printf.fprintf oc "  ],\n";

@@ -52,6 +52,13 @@ let strategy_conv =
   in
   Arg.conv (parse, print)
 
+(* "seek S, scan C, prefix P, doc D": where the matcher's probes went. *)
+let probe_split_text stats =
+  String.concat ", "
+    (List.map
+       (fun (part, n) -> Printf.sprintf "%s %d" part n)
+       (Xquery.Matcher.probe_split stats))
+
 (* Load a saved index, or build one from XML records. *)
 let load_or_build path config =
   if is_index_file path then Xseq.load path
@@ -1687,9 +1694,9 @@ let query_batch_cmd =
     Printf.printf "%d queries on %d domains in %.2f ms (%.0f queries/s)\n"
       (Array.length patterns) domains (dt *. 1000.)
       (if dt > 0. then float_of_int (Array.length patterns) /. dt else 0.);
-    Printf.printf "link probes: %d, candidates: %d, rejected: %d\n"
-      stats.Xquery.Matcher.probes stats.Xquery.Matcher.candidates
-      stats.Xquery.Matcher.rejected;
+    Printf.printf "link probes: %d (%s), candidates: %d, rejected: %d\n"
+      stats.Xquery.Matcher.probes (probe_split_text stats)
+      stats.Xquery.Matcher.candidates stats.Xquery.Matcher.rejected;
     match batch_io with
     | Some b ->
       Printf.printf "pages touched: %d, entry accesses: %d\n"
@@ -1763,7 +1770,8 @@ let explain_cmd =
     Printf.printf "instantiations:   %d\n" e.instantiations;
     Printf.printf "query sequences:  %d\n" e.sequences;
     List.iteri (fun i s -> Printf.printf "  [%d] %s\n" i s) e.sequence_texts;
-    Printf.printf "link probes:      %d\n" e.stats.Xquery.Matcher.probes;
+    Printf.printf "link probes:      %d (%s)\n" e.stats.Xquery.Matcher.probes
+      (probe_split_text e.stats);
     Printf.printf "candidates:       %d\n" e.stats.Xquery.Matcher.candidates;
     Printf.printf "rejected:         %d (forward-prefix check)\n"
       e.stats.Xquery.Matcher.rejected;

@@ -290,12 +290,6 @@ let link_up l i = Store.get l.k_up (l.loff + i)
 let link_node l i = Store.get l.k_node (l.loff + i)
 let link_base l = l.lbase
 
-let link_range l ~lo ~hi =
-  let get i = link_pre l i in
-  let first = Bs.lower_bound_by ~get ~len:l.llen lo in
-  let last = Bs.upper_bound_by ~get ~len:l.llen hi - 1 in
-  (first, last)
-
 let link_floor l x = Bs.floor_index_by ~get:(fun i -> link_pre l i) ~len:l.llen x
 
 (* Link entries are in pre-order, so an entry has a same-encoding

@@ -81,10 +81,6 @@ val link_base : link -> int
 val entry_bytes : int
 (** Bytes per link/doc entry in the layout (8). *)
 
-val link_range : link -> lo:int -> hi:int -> int * int
-(** [(first, last)] inclusive link positions with [lo <= pre <= hi];
-    [first > last] when empty. *)
-
 val link_floor : link -> int -> int
 (** Largest position with [pre <= x], or -1. *)
 

@@ -2,9 +2,16 @@
     (Section 4.2, Algorithm 1).
 
     The matcher walks a compiled query sequence down the trie: candidates
-    for element [i] are found by binary search in its horizontal path
-    link, restricted to the (pre, post] range of the previously matched
-    node.  In {!Constraint} mode every candidate additionally passes the
+    for element [i] are the entries of its horizontal path link inside
+    the (pre, post] range of the previously matched node, located by a
+    finger search ({!Xutil.Binsearch.gallop_by}) that gallops forward
+    from the level's last answer and searches cold only when the key
+    moves backwards (a parent nested in the previous one).  The document
+    table is located the same way.  A candidate whose range holds no
+    entry of the next level's link is dead: the scan jumps past it and
+    the dead candidates after it, to the outermost entry that contains
+    the next level's first entry, or else to the first entry at or past
+    it.  In {!Constraint} mode every candidate additionally passes the
     forward-prefix check — its nearest same-encoding-as-parent ancestor
     must be exactly the node matched to its pattern parent — which is the
     exact form of Definition 3's second criterion and subsumes the
@@ -17,7 +24,9 @@
     verification).
 
     When a {!Xstorage.Pager} is supplied, every link-entry probe and
-    document-table read is charged to the page layout.
+    document-table read is charged to the page layout.  An entry a
+    search landed on is charged once: the scan, the next seek and the
+    document span reuse its key instead of reading it again.
 
     {2 Thread-safety}
 
@@ -31,13 +40,25 @@
 type mode = Constraint | Naive
 
 type stats = {
-  mutable probes : int;  (** link entries examined (binary search + scans) *)
+  mutable probes : int;
+      (** link and document-table entries read (finger searches, skips,
+          scans, prefix checks); always the sum of the four below *)
+  mutable seek_probes : int;
+      (** reads locating a candidate range or a dead-candidate skip *)
+  mutable scan_probes : int;  (** reads advancing the candidate scan *)
+  mutable prefix_probes : int;
+      (** reads of the parent's link by the forward-prefix check *)
+  mutable doc_probes : int;  (** document-table reads locating a result span *)
   mutable candidates : int;  (** range candidates considered *)
   mutable rejected : int;  (** candidates failing the forward-prefix check *)
   mutable matches : int;  (** complete query-sequence matches *)
 }
 
 val create_stats : unit -> stats
+
+val probe_split : stats -> (string * int) list
+(** [probe_split s] names the four parts of [s.probes], in a fixed
+    order: [seek], [scan], [prefix], [doc].  Their sum is [s.probes]. *)
 
 val merge_stats : into:stats -> stats -> unit
 (** [merge_stats ~into s] adds every counter of [s] into [into].  Used to

@@ -163,12 +163,15 @@ let to_json ?(extra = []) t =
           kv "connections_closed" (string_of_int t.connections_closed);
           kv "matcher"
             (obj
-               [
-                 kv "probes" (string_of_int t.matcher.Matcher.probes);
-                 kv "candidates" (string_of_int t.matcher.Matcher.candidates);
-                 kv "rejected" (string_of_int t.matcher.Matcher.rejected);
-                 kv "matches" (string_of_int t.matcher.Matcher.matches);
-               ]);
+               ((kv "probes" (string_of_int t.matcher.Matcher.probes)
+                 :: List.map
+                      (fun (part, n) -> kv (part ^ "_probes") (string_of_int n))
+                      (Matcher.probe_split t.matcher))
+               @ [
+                   kv "candidates" (string_of_int t.matcher.Matcher.candidates);
+                   kv "rejected" (string_of_int t.matcher.Matcher.rejected);
+                   kv "matches" (string_of_int t.matcher.Matcher.matches);
+                 ]));
           kv "pager"
             (obj
                [

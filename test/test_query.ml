@@ -308,6 +308,231 @@ let test_parents_across_descendant () =
   Alcotest.(check (list int)) "a//c/d" [ 0 ] (Xseq.query_xpath index "/a//c/d");
   Alcotest.(check (list int)) "a//b//d" [ 0 ] (Xseq.query_xpath index "/a//b//d")
 
+(* --- finger-search matcher ---------------------------------------------- *)
+
+module Labeled = Xindex.Labeled
+module Matcher = Xquery.Matcher
+
+let compile_for index pattern =
+  Xquery.Engine.compile ~strategy:(Xseq.strategy index)
+    ~value_mode:(Xseq.value_mode index) (Xseq.labeled index) pattern
+
+let link_of index p = Option.get (Labeled.link (Xseq.labeled index) p)
+
+(* Constraint mode answers exactly the oracle; Naive mode may only add
+   false alarms to it. *)
+let check_modes name docs index pattern =
+  let labeled = Xseq.labeled index in
+  let compiled = compile_for index pattern in
+  let exact = Matcher.run_collect ~mode:Matcher.Constraint labeled compiled in
+  Alcotest.(check (list int)) (name ^ ": constraint = oracle")
+    (oracle pattern docs) exact;
+  let naive = Matcher.run_collect ~mode:Matcher.Naive labeled compiled in
+  Alcotest.(check bool) (name ^ ": naive is a superset") true
+    (List.for_all (fun d -> List.mem d naive) exact)
+
+(* Longest [up] chain in a link: nesting depth of identical siblings. *)
+let max_up_chain l =
+  let best = ref 0 in
+  for i = 0 to Labeled.link_length l - 1 do
+    let n = ref 0 and k = ref (Labeled.link_up l i) in
+    while !k >= 0 do
+      incr n;
+      k := Labeled.link_up l !k
+    done;
+    best := max !best !n
+  done;
+  !best
+
+(* A dead b (no d below it) precedes four nested identical b siblings,
+   only the innermost holding the d: the skip past the dead b must land
+   on the outermost of the four, three [up] steps above the floor of
+   the d. *)
+let test_skip_deep_nesting () =
+  let docs =
+    [|
+      e "a" [ e "b" [ e "x" [] ] ];
+      e "a"
+        [
+          e "c" [];
+          e "b" [ e "e" [] ];
+          e "b" [ e "e" [] ];
+          e "b" [ e "e" [] ];
+          e "b" [ e "d" [] ];
+        ];
+      (* Frequent c sequences a.c before a.b in the nested document, so
+         its b chain does not share the dead b's trie node. *)
+      e "a" [ e "c" [] ];
+      e "a" [ e "c" [] ];
+      e "a" [ e "c" [] ];
+    |]
+  in
+  let index = Xseq.build docs in
+  let pattern = Xquery.Xpath_parser.parse "/a/b/d" in
+  let q = List.hd (compile_for index pattern) in
+  let lb = link_of index q.paths.(1) and ld = link_of index q.paths.(2) in
+  let d_pre = Labeled.link_pre ld 0 in
+  Alcotest.(check bool) "first b is dead" true (Labeled.link_post lb 0 < d_pre);
+  Alcotest.(check bool) "b chain of length >= 3" true (max_up_chain lb >= 3);
+  check_modes "deep nesting" docs index pattern;
+  check_modes "deep nesting, b with e" docs index
+    (Xquery.Xpath_parser.parse "/a/b[e]")
+
+(* /a[b][b]: both b's compile to the same encoding, so one link serves
+   two consecutive levels, each with its own cursor. *)
+let test_same_link_consecutive_levels () =
+  let docs =
+    [|
+      e "a" [ e "b" []; e "b" [] ];
+      e "a" [ e "b" [] ];
+      e "a" [ e "b" [ e "c" [] ]; e "b" []; e "b" [] ];
+    |]
+  in
+  let index = Xseq.build docs in
+  let pattern = Xquery.Xpath_parser.parse "/a[b][b]" in
+  let compiled = compile_for index pattern in
+  Alcotest.(check bool) "one encoding at consecutive levels" true
+    (List.exists
+       (fun (q : Xquery.Query_seq.compiled) ->
+         let n = Array.length q.paths in
+         List.exists
+           (fun i -> Sequencing.Path.equal q.paths.(i) q.paths.(i + 1))
+           (List.init (n - 1) Fun.id))
+       compiled);
+  check_modes "same link" docs index pattern;
+  check_modes "same link, three deep" docs index
+    (Xquery.Xpath_parser.parse "/a[b][b][b]")
+
+(* The second b lies past the last c: the seek for its next level finds
+   the c link exhausted, and the level stops mid-scan. *)
+let test_next_link_runs_out () =
+  let docs = [| e "a" [ e "b" [ e "c" [] ]; e "b" [] ]; e "a" [ e "b" [] ] |] in
+  let index = Xseq.build docs in
+  let pattern = Xquery.Xpath_parser.parse "/a/b/c" in
+  let q = List.hd (compile_for index pattern) in
+  let lb = link_of index q.paths.(1) and lc = link_of index q.paths.(2) in
+  Alcotest.(check bool) "a b lies past the last c" true
+    (Labeled.link_pre lb (Labeled.link_length lb - 1)
+    > Labeled.link_pre lc (Labeled.link_length lc - 1));
+  check_modes "link runs out" docs index pattern
+
+(* Two nested b candidates both reach the later c: the second b reports
+   a c that precedes the one the first reported last, so the document
+   table is searched with a key that moved backwards. *)
+let test_doc_keys_out_of_order () =
+  let docs =
+    [| e "a" [ e "b" []; e "c" [] ]; e "a" [ e "b" []; e "b" []; e "c" [] ] |]
+  in
+  let index = Xseq.build docs in
+  let labeled = Xseq.labeled index in
+  let pattern = Xquery.Xpath_parser.parse "/a[b][c]" in
+  (* Document-table positions in report order: a drop marks a key that
+     arrived out of order. *)
+  let position = Hashtbl.create 8 in
+  for k = 0 to Labeled.doc_len labeled - 1 do
+    Hashtbl.replace position (Labeled.doc_id_at labeled k) k
+  done;
+  let reported = ref [] in
+  List.iter
+    (fun q ->
+      Matcher.run labeled q ~on_doc:(fun d ->
+          reported := Hashtbl.find position d :: !reported))
+    (compile_for index pattern);
+  let rec drops = function
+    | later :: (earlier :: _ as rest) -> later < earlier || drops rest
+    | _ -> false
+  in
+  Alcotest.(check bool) "a key arrives out of order" true (drops !reported);
+  check_modes "doc keys out of order" docs index pattern
+
+(* Split counters add up to [probes] on every path that answers a query:
+   each physical column backend, a live store and a sharded one, and a
+   multi-domain batch whose per-worker records are merged. *)
+let test_probe_split_sums () =
+  let docs = Xdatagen.Dblp_gen.generate 80 in
+  let queries = queries_of ~seed:5 docs in
+  let check name query =
+    let stats = Matcher.create_stats () in
+    List.iter (fun q -> ignore (query stats q : int list)) queries;
+    let split = List.fold_left (fun a (_, n) -> a + n) 0 (Matcher.probe_split stats) in
+    Alcotest.(check int) (name ^ ": split sums to probes") stats.probes split;
+    Alcotest.(check bool) (name ^ ": probes counted") true (stats.probes > 0)
+  in
+  let index = Xseq.build docs in
+  let tmp ext = Filename.temp_file "xseq_split" ext in
+  let path = tmp ".idx" and zpath = tmp ".idxz" in
+  let dir = tmp ".d" and sdir = tmp ".s" in
+  List.iter Sys.remove [ dir; sdir ];
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; zpath ];
+      ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir; sdir ]) : int))
+    (fun () ->
+      Xseq.save index path;
+      Xseq.save ~format:Xstorage.Store.Col2 index zpath;
+      let heap =
+        Labeled.remap ~backend:Labeled.Heap_arrays (Xseq.labeled index)
+      in
+      check "heap" (fun stats q ->
+          try
+            Xquery.Engine.query ~stats ~strategy:(Xseq.strategy index)
+              ~value_mode:(Xseq.value_mode index) heap q
+          with Xquery.Instantiate.Too_many _ -> []);
+      List.iter
+        (fun (name, t) -> check name (fun stats q -> Xseq.query ~stats t q))
+        [
+          ("columnar", index);
+          ("resident", Xseq.load path);
+          ("paged", Xseq.load ~mode:Xstorage.Store.Paged ~pool_pages:4 path);
+          ("compressed", Xseq.load zpath);
+          ( "compressed-paged",
+            Xseq.load ~mode:Xstorage.Store.Paged ~pool_pages:4 zpath );
+        ];
+      let log = Xlog.open_ ~memtable_limit:16 dir in
+      Array.iter (fun d -> ignore (Xlog.insert log d : int)) docs;
+      check "xlog" (fun stats q -> Xlog.query ~stats log q);
+      Xlog.close log;
+      let sh = Xshard.open_ ~shards:3 ~memtable_limit:16 sdir in
+      Array.iter (fun d -> ignore (Xshard.insert sh d : int)) docs;
+      check "xshard" (fun stats q -> Xshard.query ~stats sh q);
+      Xshard.close sh;
+      let batch = Array.of_list queries in
+      let stats = Matcher.create_stats () in
+      ignore (Xseq.query_batch ~domains:2 ~stats index batch : int list array);
+      Alcotest.(check int) "batch: merged split sums to probes" stats.probes
+        (List.fold_left (fun a (_, n) -> a + n) 0 (Matcher.probe_split stats)))
+
+(* Deterministic probe ceiling: a fixed synthetic corpus (the query-mem
+   DTD, L3F5A25I10P40 with schema seed 7, 1500 records of data seed 3)
+   and a fixed query set.  Before finger search and the dead-candidate
+   skip the matcher spent 18_544_432 probes on it; the ceiling is a
+   third of that, so a probe regression fails here whatever the box. *)
+let seed_probes = 18_544_432
+
+let test_probe_ceiling () =
+  let params = { Xdatagen.Synthetic.l = 3; f = 5; a = 25; i = 10; p = 40 } in
+  let schema = Xdatagen.Synthetic.schema ~seed:7 params in
+  let docs = Xdatagen.Synthetic.generate ~seed:3 ~schema 1500 in
+  let gen ~seed ~star ~desc n =
+    Xdatagen.Query_gen.generate ~seed
+      ~opts:
+        {
+          Xdatagen.Query_gen.size = 5;
+          star_prob = star;
+          desc_prob = desc;
+          value_prob = 0.5;
+          wide = false;
+        }
+      docs n
+  in
+  let queries = gen ~seed:11 ~star:0. ~desc:0. 300 @ gen ~seed:12 ~star:0.3 ~desc:0.3 30 in
+  let index = Xseq.build docs in
+  let stats = Matcher.create_stats () in
+  List.iter (fun q -> ignore (Xseq.query ~stats index q : int list)) queries;
+  if stats.probes * 3 > seed_probes then
+    Alcotest.failf "%d probes, ceiling %d (a third of %d)" stats.probes
+      (seed_probes / 3) seed_probes
+
 (* --- assembling -------------------------------------------------------- *)
 
 let () =
@@ -331,6 +556,20 @@ let () =
           Alcotest.test_case "regression: permutation ranks" `Quick
             test_regression_permutation_ranks;
           Alcotest.test_case "explain" `Quick test_explain;
+        ] );
+      ( "finger search",
+        [
+          Alcotest.test_case "skip over deep identical siblings" `Quick
+            test_skip_deep_nesting;
+          Alcotest.test_case "one link at consecutive levels" `Quick
+            test_same_link_consecutive_levels;
+          Alcotest.test_case "next-level link runs out" `Quick
+            test_next_link_runs_out;
+          Alcotest.test_case "doc-table keys out of order" `Quick
+            test_doc_keys_out_of_order;
+          Alcotest.test_case "probe split sums on every backend" `Quick
+            test_probe_split_sums;
+          Alcotest.test_case "probe ceiling" `Quick test_probe_ceiling;
         ] );
       ( "oracle-equivalence",
         [

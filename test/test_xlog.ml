@@ -747,17 +747,37 @@ let test_replica_mirror () =
 let test_replica_compaction_no_rotate () =
   with_dir (fun pdir ->
       with_dir (fun fdir ->
-          let primary = Xlog.open_ ~sync_every:1 ~memtable_limit:4 pdir in
+          (* The primary compacts only where this test says: a background
+             checkpoint could prune a WAL file before [catch_up] has read
+             it, or after the follower pruned its copy, racing the mirror
+             check below. *)
+          let primary =
+            Xlog.open_ ~sync_every:1 ~memtable_limit:4 ~max_segments:1000 pdir
+          in
           let follower =
             Xlog.open_ ~sync_every:1 ~memtable_limit:4 ~max_segments:2 fdir
           in
+          (* What a serving primary does for its live subscriptions: hold
+             WAL files back from pruning up to the follower's cursor. *)
+          let mirror = ref follower in
+          Xlog.set_wal_retention primary (fun () ->
+              Some (Xlog.wal_position !mirror).Wal.file);
           let live = ref [] in
           for i = 0 to 39 do
             let d = e "P" [ e "L" [ v (string_of_int i) ] ] in
             let id = Xlog.insert primary d in
             live := !live @ [ (id, d) ];
+            (* One rotation mid-stream, which the follower must mirror;
+               retention keeps file 0 until the follower has read it. *)
+            if i = 19 then ignore (Xlog.compact ~wait:true primary : bool);
             catch_up ~src:pdir follower
           done;
+          (* Now that the follower is past file 0, a checkpoint that does
+             not rotate lets the primary prune it, as the follower's own
+             checkpoints do. *)
+          ignore (Xlog.compact ~wait:true ~rotate:false primary : bool);
+          Alcotest.(check int) "the follower mirrored the rotation" 1
+            (Xlog.wal_position follower).Wal.file;
           (* The follower sealed and auto-compacted along the way (its
              max_segments is small); none of that may rotate its WAL. *)
           let rec wait_bg n =
@@ -778,6 +798,7 @@ let test_replica_compaction_no_rotate () =
           (* Mid-file checkpoint recovers: close, reopen, stream on. *)
           Xlog.close follower;
           let follower = Xlog.open_ ~sync_every:1 ~memtable_limit:4 fdir in
+          mirror := follower;
           check_against_oracle "follower reopened on mid-file checkpoint"
             follower !live;
           ignore (Xlog.insert primary (e "Q" []) : int);

@@ -69,6 +69,64 @@ let prop_bounds =
       && Xutil.Binsearch.upper_bound a ~len x = !ub
       && Xutil.Binsearch.floor_index a ~len x = !ub - 1)
 
+(* Finger search: [gallop_by] counts its probes through [get]. *)
+let gallop a ~from x =
+  let probed = ref [] in
+  let get i =
+    probed := i :: !probed;
+    a.(i)
+  in
+  let r = Bs.gallop_by ~get ~len:(Array.length a) ~from x in
+  (r, !probed)
+
+let test_gallop () =
+  let a = [| 1; 3; 3; 3; 7; 9; 9; 12 |] in
+  let len = Array.length a in
+  let at ~from x = fst (gallop a ~from x) in
+  Alcotest.(check int) "cold = lower_bound" 1 (at ~from:0 3);
+  Alcotest.(check int) "finger hit" 4 (at ~from:1 4);
+  Alcotest.(check int) "finger on answer" 4 (at ~from:4 7);
+  Alcotest.(check int) "past the end" len (at ~from:2 100);
+  (* [from] past the answer: the first index at or after [from]. *)
+  Alcotest.(check int) "from past the answer" 6 (at ~from:6 3);
+  (* [from = len]: answer [len], nothing read. *)
+  let r, probed = gallop a ~from:len 0 in
+  Alcotest.(check int) "from = len" len r;
+  Alcotest.(check int) "from = len probes nothing" 0 (List.length probed);
+  let r, probed = gallop [||] ~from:0 5 in
+  Alcotest.(check (pair int int)) "empty" (0, 0) (r, List.length probed)
+
+let ceil_log2 n =
+  let k = ref 0 in
+  while 1 lsl !k < n do
+    incr k
+  done;
+  !k
+
+(* Against [lower_bound] on random sorted arrays with duplicates, from
+   every start: the answer is [max from (lower_bound x)] capped at the
+   length, an answer inside the array has been probed (so a scan may
+   reuse it), and a warm start costs at most about [2 log2] of the
+   distance walked. *)
+let prop_gallop =
+  QCheck.Test.make ~name:"gallop_by = lower_bound from any finger" ~count:500
+    QCheck.(pair (list (int_bound 20)) (int_bound 22))
+    (fun (l, x) ->
+      let a = Array.of_list (List.sort Stdlib.compare l) in
+      let len = Array.length a in
+      let lb = Bs.lower_bound a ~len x in
+      List.for_all
+        (fun from ->
+          let r, probed = gallop a ~from x in
+          let probes = List.length probed in
+          r = min len (max from lb)
+          && (r >= len || List.mem r probed)
+          && List.for_all (fun i -> i >= from && i < len) probed
+          &&
+          if from = 0 then probes <= ceil_log2 (len + 1)
+          else probes <= 1 + (2 * ceil_log2 (r - from + 1)))
+        (List.init (len + 2) Fun.id))
+
 (* --- domain pool ----------------------------------------------------------- *)
 
 exception Boom of int
@@ -259,8 +317,16 @@ let () =
           Alcotest.test_case "basics" `Quick test_ivec_basics;
           Alcotest.test_case "bounds" `Quick test_ivec_bounds;
         ] );
-      ("binsearch", [ Alcotest.test_case "cases" `Quick test_binsearch ]);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_bounds ]);
+      ( "binsearch",
+        [
+          Alcotest.test_case "cases" `Quick test_binsearch;
+          Alcotest.test_case "gallop cases" `Quick test_gallop;
+        ] );
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_bounds;
+          QCheck_alcotest.to_alcotest prop_gallop;
+        ] );
       ( "domain pool",
         [
           Alcotest.test_case "ordering" `Quick test_pool_ordering;

@@ -1769,7 +1769,23 @@ let explain_cmd =
     Printf.printf "pattern:          %s\n" e.Xquery.Engine.pattern;
     Printf.printf "instantiations:   %d\n" e.instantiations;
     Printf.printf "query sequences:  %d\n" e.sequences;
-    List.iteri (fun i s -> Printf.printf "  [%d] %s\n" i s) e.sequence_texts;
+    (* Each element with its link length and the rarest later element a
+       candidate is checked against before the matcher descends: a
+       short link there is what makes a query cheap. *)
+    List.iteri
+      (fun i steps ->
+        Printf.printf "  [%d] %s\n" i
+          (String.concat " "
+             (Array.to_list (Array.map (fun s -> s.Xquery.Engine.path) steps)));
+        Array.iteri
+          (fun j (s : Xquery.Engine.step) ->
+            Printf.printf "       #%-2d %-28s link %7d" j s.path s.link_length;
+            if s.lookahead >= 0 then
+              Printf.printf "   look-ahead #%d (link %d)" s.lookahead
+                steps.(s.lookahead).link_length;
+            print_newline ())
+          steps)
+      e.steps;
     Printf.printf "link probes:      %d (%s)\n" e.stats.Xquery.Matcher.probes
       (probe_split_text e.stats);
     Printf.printf "candidates:       %d\n" e.stats.Xquery.Matcher.candidates;

@@ -44,7 +44,6 @@ type link = {
   k_pre : Store.column;
   k_post : Store.column;
   k_up : Store.column;
-  k_node : Store.column;
   loff : int;
   llen : int;
   lbase : int;
@@ -277,7 +276,6 @@ let link t p =
         k_pre = t.l_pre;
         k_post = t.l_post;
         k_up = t.l_up;
-        k_node = t.l_node;
         loff = t.link_off.(slot);
         llen = t.link_len.(slot);
         lbase = t.link_base.(slot);
@@ -287,7 +285,6 @@ let link_length l = l.llen
 let link_pre l i = Store.get l.k_pre (l.loff + i)
 let link_post l i = Store.get l.k_post (l.loff + i)
 let link_up l i = Store.get l.k_up (l.loff + i)
-let link_node l i = Store.get l.k_node (l.loff + i)
 let link_base l = l.lbase
 
 let link_floor l x = Bs.floor_index_by ~get:(fun i -> link_pre l i) ~len:l.llen x

@@ -72,9 +72,6 @@ val link_post : link -> int -> int
 val link_up : link -> int -> int
 (** Link position of the nearest same-encoding proper ancestor, or -1. *)
 
-val link_node : link -> int -> int
-(** Trie node id of a link entry. *)
-
 val link_base : link -> int
 (** Byte offset of the link's region in the simulated layout. *)
 

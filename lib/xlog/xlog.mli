@@ -137,8 +137,12 @@ val prepare : t -> Pattern.t -> prepared
 
 val run_prepared : ?stats:Xquery.Matcher.stats -> t -> prepared -> int list
 (** @raise Invalid_argument if the store's sealed structure changed
-    since {!prepare} — re-prepare, exactly as for {!Xseq.run_prepared}
-    across a hot swap. *)
+    since {!prepare} — re-prepare.  This is the one stale-plan signal
+    that is not {!Xseq.Stale_plan}: the benchmark's ingest replay
+    ([perfbench/ingest.ml]) retries on [Invalid_argument], and a
+    background compaction can install between its plan lookup and the
+    run.  A caller that must tell a stale plan from a bug retries only
+    when {!generation} moved since the lookup, as the server does. *)
 
 val generation : t -> int
 (** Stamp of the current sealed structure, from the same process-wide

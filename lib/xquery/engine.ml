@@ -9,11 +9,13 @@ let query ?mode ?pager ?stats ?limit ?max_expansions ~strategy ~value_mode idx
   let compiled = compile ?limit ?max_expansions ~strategy ~value_mode idx pattern in
   Matcher.run_collect ?mode ?pager ?stats idx compiled
 
+type step = { path : string; link_length : int; lookahead : int }
+
 type explanation = {
   pattern : string;
   instantiations : int;
   sequences : int;
-  sequence_texts : string list;
+  steps : step array list;
   results : int;
   stats : Matcher.stats;
 }
@@ -27,15 +29,25 @@ let explain ?mode ?limit ?max_expansions ~strategy ~value_mode idx pattern =
   in
   let stats = Matcher.create_stats () in
   let results = Matcher.run_collect ?mode ~stats idx compiled in
-  let render (q : Query_seq.compiled) =
-    String.concat " "
-      (List.map Sequencing.Path.to_string (Array.to_list q.paths))
+  let steps (q : Query_seq.compiled) =
+    let rare = Matcher.lookahead idx q in
+    Array.mapi
+      (fun i p ->
+        {
+          path = Sequencing.Path.to_string p;
+          link_length =
+            (match Xindex.Labeled.link idx p with
+             | Some l -> Xindex.Labeled.link_length l
+             | None -> 0);
+          lookahead = rare.(i);
+        })
+      q.paths
   in
   {
     pattern = Pattern.to_string pattern;
     instantiations = List.length cnodes;
     sequences = List.length compiled;
-    sequence_texts = List.map render compiled;
+    steps = List.map steps compiled;
     results = List.length results;
     stats;
   }

@@ -33,11 +33,20 @@ val compile :
   Query_seq.compiled list
 (** The compiled sequences only (for inspection or repeated execution). *)
 
+type step = {
+  path : string;  (** the element's path encoding, rendered *)
+  link_length : int;  (** entries in its horizontal link (0: none) *)
+  lookahead : int;
+      (** the rarest later position, which a candidate here is checked
+          against before the matcher descends ({!Matcher.lookahead});
+          -1 for the last element *)
+}
+
 type explanation = {
   pattern : string;  (** the pattern as parsed *)
   instantiations : int;  (** concrete patterns after wildcard expansion *)
   sequences : int;  (** compiled sequences after isomorphism expansion *)
-  sequence_texts : string list;  (** each compiled sequence, rendered *)
+  steps : step array list;  (** each compiled sequence, element by element *)
   results : int;
   stats : Matcher.stats;  (** probes/candidates/rejections over the run *)
 }
@@ -53,5 +62,6 @@ val explain :
   explanation
 (** Runs the query and reports what the pipeline did — how many concrete
     patterns the wildcards expanded to, how many sequences the
-    identical-sibling/junction expansion produced, and the matcher's
-    work counters.  Intended for debugging and teaching. *)
+    identical-sibling/junction expansion produced, each element's link
+    length and look-ahead, and the matcher's work counters.  Intended
+    for debugging and teaching. *)

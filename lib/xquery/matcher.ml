@@ -45,6 +45,27 @@ let merge_stats ~into s =
   into.rejected <- into.rejected + s.rejected;
   into.matches <- into.matches + s.matches
 
+(* Per level [i < n], the later level with the shortest link (ties to the
+   lower level), or -1 for the last. *)
+let rarest lens n =
+  let r = Array.make n (-1) in
+  for i = n - 2 downto 0 do
+    let j = r.(i + 1) in
+    r.(i) <- (if j < 0 || lens.(i + 1) <= lens.(j) then i + 1 else j)
+  done;
+  r
+
+let lookahead idx (q : Query_seq.compiled) =
+  let lens =
+    Array.map
+      (fun p ->
+        match Labeled.link idx p with
+        | Some l -> Labeled.link_length l
+        | None -> 0)
+      q.paths
+  in
+  rarest lens (Array.length lens)
+
 let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
     =
   (* A fresh sink per call when the caller does not supply one: a shared
@@ -110,9 +131,7 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
             Labeled.link_pre pl i)
         q.parents
     in
-    (* Whether a level's link has entries nested in one another; the
-       dead-candidate skip takes a shortcut on links that do not. *)
-    let nested = Array.map (Labeled.path_multiple idx) q.paths in
+    let rare = rarest lens qlen in
     (* Two fingers per level, each a key and the first position whose key
        reaches it, that entry already charged ([max_int]: none yet):
        [low] from the level's last seek, [high] from the end of its
@@ -146,6 +165,9 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
       if x >= high_key.(i) || high_key.(i) = max_int then set_high i x p;
       p
     in
+    (* Key of a seek's answer [n] on level [i] (charged by the seek), or
+       [max_int] when the level ran out. *)
+    let first_key i n = if n < lens.(i) then key_at i n else max_int in
     (* A complete match on a node with serial range [lo, hi] reports the
        documents whose sequence ends inside it. *)
     let report lo hi =
@@ -192,48 +214,46 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
         let p = !pos in
         let pre = Labeled.link_pre l p and post = Labeled.link_post l p in
         stats.candidates <- stats.candidates + 1;
-        (* The next level's first entry past [pre], at serial [p1].  A
-           candidate whose range ends before [p1] is dead, and so is every
-           later one up to [p1] that does not contain it.  The last level
-           never has a dead candidate: every trie node's range holds the
-           end of some document's sequence. *)
-        let next = if last_level then 0 else seek (i + 1) (pre + 1) in
-        let p1 =
-          if last_level then pre
-          else if next < lens.(i + 1) then key_at (i + 1) next
-          else max_int
-        in
-        if p1 > post then begin
-          if p1 > hi then rest_dead := true
-          else if nested.(i) then begin
-            (* Everything inside a dead entry's range is dead too: hop
-               from subtree to subtree until an entry reaches [p1] or
-               contains it.  Only [pre] and [post] are read, never [up]. *)
-            let k = ref p and e = ref post in
-            pos := -1;
-            while !pos < 0 do
-              let h =
-                Bs.gallop_by ~get:seek_get.(i) ~len:stop ~from:(!k + 1) (!e + 1)
-              in
-              if h >= stop || Labeled.link_pre l h >= p1
-                 || Labeled.link_post l h >= p1
-              then pos := h
-              else begin
-                k := h;
-                e := Labeled.link_post l h
-              end
-            done
+        (* Every later level of a complete match lies inside [(pre, post]].
+           So first the rarest later level's first entry past [pre], at
+           serial [p1]: a candidate whose range ends before [p1] is dead.
+           Only a candidate that passes pays for the next level's seek,
+           which may kill it the same way.  The last level never has a
+           dead candidate: every trie node's range holds the end of some
+           document's sequence. *)
+        let next = ref 0 and p1 = ref pre in
+        if not last_level then begin
+          let r = rare.(i) in
+          next := seek r (pre + 1);
+          p1 := first_key r !next;
+          if r <> i + 1 && !p1 <= post then begin
+            next := seek (i + 1) (pre + 1);
+            p1 := first_key (i + 1) !next
           end
+        end;
+        let p1 = !p1 in
+        if p1 > post then begin
+          (* The killing level's first entry past any later candidate's
+             [pre] is at or after [p1], so every candidate up to [p1]
+             that does not contain it is dead too. *)
+          if p1 > hi then rest_dead := true
           else begin
-            (* Entries never nest here, so only [p1]'s floor can contain
-               it: jump there, or else to the first entry at or after
-               [p1]. *)
+            (* Gallop to [p1]; the entries before it that contain [p1]
+               are ancestors of its floor, so climb [up] from the floor
+               to the outermost one past [p].  Containment holds all the
+               way up once it holds, so only that one is tested.  On a
+               link whose entries never nest, the climb is the floor
+               alone. *)
             let j = Bs.gallop_by ~get:seek_get.(i) ~len:stop ~from:(p + 1) p1 in
-            pos := j;
-            if j - 1 > p then begin
-              seek_touch l (j - 1);
-              if Labeled.link_post l (j - 1) >= p1 then pos := j - 1
-            end
+            let k = ref (j - 1) and outer = ref (-1) in
+            while !k > p do
+              seek_touch l !k;
+              outer := !k;
+              k := Labeled.link_up l !k
+            done;
+            pos :=
+              if !outer >= 0 && Labeled.link_post l !outer >= p1 then !outer
+              else j
           end
         end
         else begin
@@ -270,7 +290,7 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
           in
           if ok then begin
             mpos.(i) <- p;
-            if last_level then report pre post else search (i + 1) next post
+            if last_level then report pre post else search (i + 1) !next post
           end
           else stats.rejected <- stats.rejected + 1;
           pos := p + 1;

@@ -7,11 +7,20 @@
     finger search ({!Xutil.Binsearch.gallop_by}) that gallops forward
     from the level's last answer and searches cold only when the key
     moves backwards (a parent nested in the previous one).  The document
-    table is located the same way.  A candidate whose range holds no
-    entry of the next level's link is dead: the scan jumps past it and
-    the dead candidates after it, to the outermost entry that contains
-    the next level's first entry, or else to the first entry at or past
-    it.  In {!Constraint} mode every candidate additionally passes the
+    table is located the same way.
+
+    Every later element of a complete match lies inside the candidate's
+    range, so before descending the matcher looks ahead to the later
+    element with the shortest link ({!lookahead}): a candidate whose
+    range holds none of that link's entries is dead, and only a
+    candidate that survives pays for the next element's seek, which may
+    kill it the same way.  From a dead candidate the scan gallops to the
+    serial of the killing link's entry and climbs [up] from that serial's
+    floor to the outermost entry after the candidate.  It lands there if
+    that entry contains the serial, or else on the first entry at or
+    past it; every candidate skipped is dead too.
+
+    In {!Constraint} mode every candidate additionally passes the
     forward-prefix check — its nearest same-encoding-as-parent ancestor
     must be exactly the node matched to its pattern parent — which is the
     exact form of Definition 3's second criterion and subsumes the
@@ -64,6 +73,13 @@ val merge_stats : into:stats -> stats -> unit
 (** [merge_stats ~into s] adds every counter of [s] into [into].  Used to
     combine the private per-worker records of a batched run into one
     aggregate; [s] is left unchanged. *)
+
+val lookahead : Xindex.Labeled.t -> Query_seq.compiled -> int array
+(** [lookahead idx q] is, for each position [i] of [q], the later
+    position whose link is shortest — the rarest later element, which
+    {!run} checks a candidate at [i] against before descending — or [-1]
+    for the last position.  Ties go to the lower position; an element
+    without a link counts as length 0. *)
 
 val run :
   ?mode:mode ->

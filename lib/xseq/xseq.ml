@@ -282,17 +282,13 @@ let prepare t pattern =
     prepared_gen = t.generation;
   }
 
+exception Stale_plan
+
 let run_prepared ?pager ?stats t prepared =
   (* Compiled sequences embed label ranges of one specific index; running
      them elsewhere would silently return garbage ids.  The generation
-     stamp turns that into a checked error — the server's plan cache
-     relies on this to invalidate entries across [Reload] hot swaps. *)
-  if prepared.prepared_gen <> t.generation then
-    invalid_arg
-      (Printf.sprintf
-         "Xseq.run_prepared: prepared query belongs to index generation %d, \
-          not %d"
-         prepared.prepared_gen t.generation);
+     stamp turns that into a checked error. *)
+  if prepared.prepared_gen <> t.generation then raise Stale_plan;
   Xquery.Matcher.run_collect ?pager ?stats t.labeled prepared.plans
 
 let explain t pattern =

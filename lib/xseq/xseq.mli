@@ -143,13 +143,21 @@ val prepare : t -> Pattern.t -> prepared
     @raise Xquery.Instantiate.Too_many when expansion explodes —
     {!query}'s scan fallback does not apply to prepared queries. *)
 
+exception Stale_plan
+(** A prepared plan was run against a structure other than the one it was
+    compiled for: a different index, or a sharded store that has sealed,
+    compacted or re-opened since.  Re-prepare and run again.  Raised only
+    for that, so a caller can retry on it without also retrying a bug.
+    ([Xlog.run_prepared] still signals a stale plan with
+    [Invalid_argument]; see there.) *)
+
 val run_prepared : ?pager:Xstorage.Pager.t -> ?stats:Xquery.Matcher.stats -> t -> prepared -> int list
 (** Executes a prepared query.  The index must be the one it was prepared
     against: the compiled sequences embed that index's label ranges, so
-    [run_prepared] checks the generation stamp and raises
-    [Invalid_argument] on a mismatch instead of returning garbage ids.
-    [Xserver]'s plan cache leans on this check to invalidate cached plans
-    across [Reload] hot swaps. *)
+    [run_prepared] checks the generation stamp instead of returning
+    garbage ids.
+    @raise Stale_plan on a mismatch, e.g. a plan prepared before a
+    [Reload] hot swap or a {!load}. *)
 
 val generation : t -> int
 (** A process-unique stamp distinguishing this index from every other

@@ -398,10 +398,13 @@ let try_admit t =
 (* Compile-or-reuse: normalized pattern text keys the LRU; the entry's
    generation stamp guarantees the plan belongs to the backend snapshot.
    Queries whose expansion explodes ([Too_many]) bypass the cache and
-   take the exact-scan fallback.  On a live store the structure can seal
-   between the cache probe and the run — [Xlog.run_prepared] raises on
-   its stamp check and the query falls back to the uncached (always
-   current) path rather than answering from a stale plan. *)
+   take the exact-scan fallback.  On a live or sharded store the
+   structure can seal or compact between the cache probe and the run:
+   the stamp check raises and the query falls back to the uncached
+   (always current) path rather than answering from a stale plan.  Only
+   that is retried — a sharded store's {!Xseq.Stale_plan}, or a live
+   store's [Invalid_argument] while its generation moved since the
+   probe — so any other exception from the run propagates. *)
 let answer_pattern t sv stats pattern =
   let key = Xquery.Pattern.to_string pattern in
   match sv.backend with
@@ -419,7 +422,8 @@ let answer_pattern t sv stats pattern =
     let gen = Xlog.generation log in
     let run plan =
       try Xlog.run_prepared ~stats log plan
-      with Invalid_argument _ -> Xlog.query ~stats log pattern
+      with Invalid_argument _ when Xlog.generation log <> gen ->
+        Xlog.query ~stats log pattern
     in
     (match Plan_cache.find t.cache ~generation:gen key with
      | Some (Plan_live plan) -> run plan
@@ -434,7 +438,7 @@ let answer_pattern t sv stats pattern =
     let gen = Xshard.generation sh in
     let run plan =
       try Xshard.run_prepared ~stats sh plan
-      with Invalid_argument _ -> Xshard.query ~stats sh pattern
+      with Xseq.Stale_plan -> Xshard.query ~stats sh pattern
     in
     (match Plan_cache.find t.cache ~generation:gen key with
      | Some (Plan_shard plan) -> run plan

@@ -393,6 +393,10 @@ let generation t = Array.fold_left (fun acc sh -> acc + shard_gen sh) 0 t.shards
 type prepared = { plans : Xlog.prepared option array; gen : int }
 
 let prepare t pat =
+  (* Stamped with the generation from before any shard's plan compiles:
+     a shard that seals meanwhile then shows as a stale plan, never as a
+     current one. *)
+  let gen = generation t in
   let plans =
     Array.map
       (fun sh ->
@@ -401,19 +405,23 @@ let prepare t pat =
         | None -> Some (Xlog.prepare sh.log pat))
       t.shards
   in
-  { plans; gen = generation t }
+  { plans; gen }
 
 let run_prepared ?stats t prep =
-  if prep.gen <> generation t then
-    invalid_arg
-      "Xshard.run_prepared: store structure changed since prepare \
-       (re-prepare the pattern)";
+  if prep.gen <> generation t then raise Xseq.Stale_plan;
   let per_shard, _ =
-    gather t (fun sh ->
-        match prep.plans.(sh.index) with
-        | None -> []
-        | Some plan ->
-          encode_all sh.index (Xlog.run_prepared ?stats sh.log plan))
+    (* A shard may seal or compact mid-run; its [Xlog.run_prepared] then
+       signals the stale plan with [Invalid_argument].  Only a moved
+       generation makes that a stale plan: anything else is a bug and
+       propagates. *)
+    try
+      gather t (fun sh ->
+          match prep.plans.(sh.index) with
+          | None -> []
+          | Some plan ->
+            encode_all sh.index (Xlog.run_prepared ?stats sh.log plan))
+    with Invalid_argument _ when generation t <> prep.gen ->
+      raise Xseq.Stale_plan
   in
   List.concat_map
     (function Some l -> l | None -> [])

@@ -181,13 +181,15 @@ val query_batch_detail :
 type prepared
 
 val prepare : t -> Pattern.t -> prepared
-(** One per-shard plan each, stamped with the combined generation.
+(** One per-shard plan each, stamped with the combined generation read
+    before the first compiles, so a shard sealing mid-prepare leaves the
+    plan stale, not mis-stamped.
     @raise Xquery.Instantiate.Too_many as {!Xlog.prepare}. *)
 
 val run_prepared :
   ?stats:Xquery.Matcher.stats -> t -> prepared -> int list
-(** @raise Invalid_argument if any shard's sealed structure changed
-    since {!prepare} — re-prepare, as with {!Xlog.run_prepared}. *)
+(** @raise Xseq.Stale_plan if any shard sealed, compacted or re-opened
+    since {!prepare}, before or during the run — re-prepare. *)
 
 val generation : t -> int
 (** Sum of the shard generations: strictly monotone, changes whenever

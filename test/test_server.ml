@@ -626,6 +626,87 @@ let test_live_reload_compacts () =
           Alcotest.(check (list int)) "post-compaction answer" want
             (Client.query c q)))
 
+(* Cached plans across seals and compactions, on a live and on a sharded
+   store: queriers loop over every xpath while one client seals (every
+   four inserts and by flush) and compacts in the background.  Fillers
+   match none of the xpaths, so every answer must stay the first one
+   seen; a plan that goes stale between the cache probe and the run is
+   retried uncached, and nothing else is. *)
+let plans_across_seals srv addr ~compact =
+  Client.with_connection addr (fun c ->
+      Array.iter (fun d -> ignore (Client.insert c (xml_of d) : int)) docs_a;
+      let want = List.map (fun q -> (q, Client.query c q)) xpaths in
+      let misses0 = Plan_cache.misses (Server.plan_cache srv) in
+      let filler = xml_of (e "Q" [ e "R" [] ]) in
+      ignore (Client.insert c filler : int);
+      let gen0 = Server.generation srv in
+      ignore (Client.flush c : int);
+      Alcotest.(check bool)
+        "the flush sealed" true
+        (Server.generation srv <> gen0);
+      List.iter
+        (fun (q, ids) ->
+          Alcotest.(check (list int))
+            ("after a seal: " ^ q) ids (Client.query c q))
+        want;
+      Alcotest.(check bool) "the seal recompiled the plans" true
+        (Plan_cache.misses (Server.plan_cache srv)
+        >= misses0 + List.length xpaths);
+      let stop = Atomic.make false and failures = ref [] in
+      let fm = Mutex.create () in
+      let fail msg =
+        Mutex.lock fm;
+        failures := msg :: !failures;
+        Mutex.unlock fm
+      in
+      let querier () =
+        try
+          Client.with_connection addr (fun c ->
+              while not (Atomic.get stop) do
+                List.iter
+                  (fun (q, ids) ->
+                    if Client.query c q <> ids then fail (q ^ " changed"))
+                  want
+              done)
+        with ex -> fail (Printexc.to_string ex)
+      in
+      let threads = List.init 2 (fun _ -> Thread.create querier ()) in
+      for i = 1 to 40 do
+        ignore (Client.insert c filler : int);
+        if i mod 10 = 0 then ignore (Client.flush c : int);
+        if i mod 20 = 0 then compact ()
+      done;
+      Atomic.set stop true;
+      List.iter Thread.join threads;
+      (match !failures with
+       | [] -> ()
+       | f :: _ -> Alcotest.failf "inconsistent observation: %s" f);
+      Alcotest.(check bool) "generation advanced" true
+        (Server.generation srv <> gen0);
+      List.iter
+        (fun (q, ids) ->
+          Alcotest.(check (list int)) ("at rest: " ^ q) ids (Client.query c q))
+        want)
+
+let test_live_plans_across_seals () =
+  with_live_server ~memtable_limit:4 (fun srv addr log ->
+      plans_across_seals srv addr ~compact:(fun () ->
+          ignore (Xlog.compact ~wait:false log : bool)))
+
+let test_sharded_plans_across_seals () =
+  let dir = Filename.temp_file "xseq_shard" ".store" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let sh = Xshard.open_ ~shards:3 ~memtable_limit:4 dir in
+      Fun.protect
+        ~finally:(fun () -> Xshard.close sh)
+        (fun () ->
+          with_server (Server.Sharded sh) (fun srv addr ->
+              plans_across_seals srv addr ~compact:(fun () ->
+                  ignore (Xshard.compact ~wait:false sh : bool)))))
+
 (* --- pipelining -------------------------------------------------------------- *)
 
 (* N requests written on one connection before any response is read:
@@ -1177,6 +1258,10 @@ let () =
             test_live_ops_rejected;
           Alcotest.test_case "reload compacts under queries" `Quick
             test_live_reload_compacts;
+          Alcotest.test_case "live plans across seals" `Quick
+            test_live_plans_across_seals;
+          Alcotest.test_case "sharded plans across seals" `Quick
+            test_sharded_plans_across_seals;
         ] );
       ( "fault tolerance",
         [

@@ -338,6 +338,41 @@ let test_reopen_equivalence () =
                   Alcotest.(check (list int)) "answers survive reopen" want got)
                 parsed_patterns)))
 
+(* --- prepared plans ------------------------------------------------------------ *)
+
+(* A plan goes stale across a seal, a compaction and a re-open, and the
+   sharded store says so with [Xseq.Stale_plan]. *)
+let test_prepared_stale_plan () =
+  with_dir (fun dir ->
+      let pat = Xseq.Xpath.parse "/P/L/S" in
+      let d = e "P" [ e "L" [ e "S" [] ] ] in
+      let stale what sh plan =
+        match Xshard.run_prepared sh plan with
+        | _ -> Alcotest.failf "stale plan ran after %s" what
+        | exception Xseq.Stale_plan -> ()
+      in
+      let sh = Xshard.open_ ~shards:3 ~memtable_limit:100 dir in
+      let ids = List.init 6 (fun _ -> Xshard.insert sh d) in
+      let plan = Xshard.prepare sh pat in
+      Alcotest.(check (list int)) "prepared answers" (List.sort compare ids)
+        (List.sort compare (Xshard.run_prepared sh plan));
+      Xshard.flush sh;
+      stale "a seal" sh plan;
+      let plan = Xshard.prepare sh pat in
+      Alcotest.(check (list int)) "re-prepared" (List.sort compare ids)
+        (List.sort compare (Xshard.run_prepared sh plan));
+      ignore (Xshard.insert sh d : int);
+      Xshard.flush sh;
+      let plan = Xshard.prepare sh pat in
+      ignore (Xshard.compact ~wait:true sh : bool);
+      stale "a compaction" sh plan;
+      let plan = Xshard.prepare sh pat in
+      Xshard.close sh;
+      let sh = Xshard.open_ ~memtable_limit:100 dir in
+      Fun.protect
+        ~finally:(fun () -> Xshard.close sh)
+        (fun () -> stale "a re-open" sh plan))
+
 (* --- batched scatter-gather -------------------------------------------------- *)
 
 let test_query_batch_matches_query () =
@@ -444,6 +479,8 @@ let () =
           Alcotest.test_case "pinned seeds" `Quick test_equivalence_pinned;
           QCheck_alcotest.to_alcotest qcheck_equivalence;
           Alcotest.test_case "reopen equivalence" `Quick test_reopen_equivalence;
+          Alcotest.test_case "stale plan across seal, compaction, re-open"
+            `Quick test_prepared_stale_plan;
         ] );
       ( "scatter-gather",
         [

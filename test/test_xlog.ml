@@ -834,8 +834,13 @@ let test_prepared_stamps () =
       Alcotest.(check bool) "tombstone" true (Xlog.remove log 0);
       Alcotest.(check (list int)) "sees the tombstone" [ 1 ]
         (Xlog.run_prepared log plan);
-      (* Sealing changes the structure: the stamp must trip. *)
+      (* Sealing changes the structure: the stamp must trip.  A live
+         store signals it with [Invalid_argument], and the generation
+         has moved — what tells it from a bug. *)
+      let gen = Xlog.generation log in
       Xlog.flush log;
+      Alcotest.(check bool) "seal moves the generation" true
+        (Xlog.generation log <> gen);
       (match Xlog.run_prepared log plan with
        | _ -> Alcotest.fail "stale plan ran after a seal"
        | exception Invalid_argument _ -> ());

@@ -314,13 +314,8 @@ let test_generation_stamp () =
   Alcotest.(check (list int)) "runs on its own index" [ 0 ]
     (Xseq.run_prepared a p);
   (match Xseq.run_prepared b p with
-   | _ -> Alcotest.fail "expected Invalid_argument"
-   | exception Invalid_argument msg ->
-     (* "Xseq.run_prepared: prepared query belongs to index generation
-        %d, not %d" *)
-     Alcotest.(check bool) "message names the mismatch" true
-       (String.length msg >= 17
-        && String.sub msg 0 17 = "Xseq.run_prepared"));
+   | _ -> Alcotest.fail "expected Stale_plan"
+   | exception Xseq.Stale_plan -> ());
   (* load produces a fresh generation too *)
   with_temp_file (fun path ->
       Xseq.save a path;
@@ -328,8 +323,8 @@ let test_generation_stamp () =
       Alcotest.(check bool) "load gets fresh generation" true
         (Xseq.generation restored <> Xseq.generation a);
       match Xseq.run_prepared restored p with
-      | _ -> Alcotest.fail "expected Invalid_argument after load"
-      | exception Invalid_argument _ -> ())
+      | _ -> Alcotest.fail "expected Stale_plan after load"
+      | exception Xseq.Stale_plan -> ())
 
 let test_contains () =
   let index = build [ project_doc; fig4_doc ] in
